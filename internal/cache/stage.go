@@ -5,9 +5,9 @@ package cache
 // presence map (PresentElsewhere/Replicas) and stages its OnInstall/OnEvict
 // mutations locally; the gpu layer applies every node's staged ops at the
 // core clock's edge barrier, in node registration order. Reads therefore see
-// the state as of the previous edge and mutations never race, which keeps
-// replication statistics identical at every shard count (the apply schedule
-// does not depend on intra-edge tick order).
+// the state as of the previous edge, which keeps replication statistics
+// independent of the order nodes tick within an edge (the apply schedule is
+// fixed at registration).
 type PresenceStage struct {
 	shared *Presence
 	ops    []presenceOp
@@ -46,7 +46,7 @@ func (s *PresenceStage) Replicas(line uint64) int {
 }
 
 // Apply publishes the staged ops into the shared tracker in staging order.
-// Called at the edge barrier, never concurrently with controller ticks.
+// Called at the edge barrier, after every controller tick of the edge.
 func (s *PresenceStage) Apply() {
 	for _, op := range s.ops {
 		if op.evict {

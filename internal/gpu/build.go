@@ -87,16 +87,11 @@ type System struct {
 	gov       *governor
 
 	// Multi-GPU module placement (zero for a single-module machine, the
-	// default): this module's index, the machine's module count, the
-	// component-name prefix ("m<i>."), and the per-clock locality-group bases
-	// that keep two modules' group ids disjoint on the shared clocks.
+	// default): this module's index, the machine's module count and the
+	// component-name prefix ("m<i>.").
 	module  int
 	modules int
 	prefix  string
-	gbCore  int
-	gbNoc1  int
-	gbNoc2  int
-	gbMem   int
 
 	// Inter-module link ports, one per DRAM channel (built only when modules
 	// >= 2; see wireMemSide). linkMissOut carries remote-homed L2 misses
@@ -110,8 +105,8 @@ type System struct {
 }
 
 // fabric places a System inside a multi-GPU Machine: the shared engine,
-// clocks, pool, and metric registry, plus the module's coordinates and
-// locality-group bases. Only NewMachine constructs one.
+// clocks, pool, and metric registry, plus the module's coordinates. Only
+// NewMachine constructs one.
 type fabric struct {
 	eng     *sim.Engine
 	coreClk *sim.Clock
@@ -122,10 +117,6 @@ type fabric struct {
 	reg     *metrics.Registry
 	module  int
 	modules int
-	gbCore  int
-	gbNoc1  int
-	gbNoc2  int
-	gbMem   int
 }
 
 // withFabric builds the System as module f.module of a multi-GPU machine.
@@ -136,7 +127,6 @@ func withFabric(f *fabric) BuildOption {
 		s.Pool = f.pool
 		s.Reg = f.reg
 		s.module, s.modules = f.module, f.modules
-		s.gbCore, s.gbNoc1, s.gbNoc2, s.gbMem = f.gbCore, f.gbNoc1, f.gbNoc2, f.gbMem
 		s.prefix = fmt.Sprintf("m%d.", f.module)
 	}
 }
@@ -248,62 +238,6 @@ func NewSystem(cfg Config, d Design, app workload.Source, opts ...BuildOption) *
 	return s
 }
 
-// Locality-group namespaces for shard placement (sim.RegisterGrouped /
-// AttachGrouped). Each clock has its own namespace; ids only need to be
-// stable per design, the partitioner ranks them by first appearance. The
-// scheme keeps each tightly coupled producer/consumer neighborhood — a core,
-// its DC-L1 node, their connecting pumps and ports — on one shard, spreads
-// L2 slices and DRAM channels round-robin via LPT, and gives hubs
-// (crossbars, meshes) their own groups. Placement never affects results
-// (see internal/sim/placement.go), only which worker's cache holds the hot
-// state.
-
-// Every id below is offset by the module's per-clock group base (gb*), so
-// group allocation is module-scoped: in a multi-GPU machine two modules
-// sharing a clock can never collide on a group id, and whole modules stay
-// coherent neighborhoods for the locality-aware partitioner. Single-module
-// builds have zero bases and keep the historical ids exactly.
-
-// coreClkGroup is the CoreClk group of core c: local-L1 designs colocate the
-// core with its private node, Private with its fixed DC-L1 node; in the
-// home-sliced designs (Shared, Clustered, SingleL1) a core talks to every
-// node, so it keeps its own group.
-func (s *System) coreClkGroup(c int) int {
-	switch s.D.Kind {
-	case Baseline, CDXBar, MeshBase:
-		return s.gbCore + c
-	case Private:
-		return s.gbCore + c/(s.Cfg.Cores/s.D.DCL1s)
-	default:
-		return s.gbCore + c
-	}
-}
-
-// nodeClkGroup is the CoreClk group of L1/DC-L1 node i.
-func (s *System) nodeClkGroup(i int) int {
-	switch s.D.Kind {
-	case Baseline, CDXBar, MeshBase, Private:
-		return s.gbCore + i // shares the namespace coreClkGroup maps cores into
-	default:
-		return s.gbCore + s.Cfg.Cores + i
-	}
-}
-
-// noc1Group is the Noc1Clk namespace: the design wiring allocates ids from
-// zero, the base keeps modules disjoint.
-func (s *System) noc1Group(k int) int { return s.gbNoc1 + k }
-
-// memGroup is the MemClk namespace: channel ch and everything serving it.
-func (s *System) memGroup(ch int) int { return s.gbMem + ch }
-
-// Noc2Clk namespace: [0, L2Slices) per-slice neighborhoods (the L2 ctrl, its
-// l2in→In pump, its Out→reply pump), [L2Slices, +Channels) the DRAM fan-in
-// pumps, and noc2Group(k) for everything the design wiring adds on top
-// (crossbars, meshes, node-side pumps; k allocated per wire function).
-func (s *System) sliceGroup(i int) int { return s.gbNoc2 + i }
-func (s *System) chanGroup(ch int) int { return s.gbNoc2 + s.Cfg.L2Slices + ch }
-func (s *System) noc2Group(k int) int  { return s.gbNoc2 + s.Cfg.L2Slices + s.Cfg.Channels + k }
-
 func validate(cfg Config, d Design) {
 	if err := d.Validate(cfg); err != nil {
 		panic(err.Error())
@@ -356,18 +290,14 @@ func (d Design) Validate(cfg Config) error {
 }
 
 // nodeCount returns the number of L1/DC-L1 nodes in the design.
-func (s *System) nodeCount() int { return nodeCountOf(s.Cfg, s.D) }
-
-// nodeCountOf is nodeCount without a built System (NewMachine sizes the
-// per-module group namespaces before any module exists).
-func nodeCountOf(cfg Config, d Design) int {
-	switch d.Kind {
+func (s *System) nodeCount() int {
+	switch s.D.Kind {
 	case Baseline, CDXBar, MeshBase:
-		return cfg.Cores
+		return s.Cfg.Cores
 	case SingleL1:
 		return 1
 	default:
-		return d.DCL1s
+		return s.D.DCL1s
 	}
 }
 
@@ -388,12 +318,11 @@ func (s *System) buildCores() {
 			co.AddWave(s.App.Program(cfg.Cores, c, w, cfg.Sched, cfg.Seed))
 		}
 		s.Cores = append(s.Cores, co)
-		g := s.coreClkGroup(c)
-		s.CoreClk.RegisterGrouped(co, g)
+		s.CoreClk.Register(co)
 		// The core is the single producer of its Out port and ticks on the
 		// core clock. (In is attached by the design-specific wiring — its
 		// producer differs per topology.)
-		co.Out.AttachGrouped(s.CoreClk, g)
+		co.Out.Attach(s.CoreClk)
 	}
 }
 
@@ -474,18 +403,17 @@ func (s *System) buildNodes() {
 		s.stages = append(s.stages, st)
 		nd := dcl1.New(s.l1NodeParams(i), st)
 		s.Nodes = append(s.Nodes, nd)
-		g := s.nodeClkGroup(i)
-		s.CoreClk.RegisterGrouped(nd, g)
+		s.CoreClk.Register(nd)
 		// The node produces Q2 (replies toward cores) and Q3 (misses toward
 		// NoC#2) on the core clock. Q1/Q4 are attached by the wiring that
 		// creates their producers. The node's internal Ctrl queues stay in
 		// immediate mode: a single component owns both ends.
-		nd.Q2.AttachGrouped(s.CoreClk, g)
-		nd.Q3.AttachGrouped(s.CoreClk, g)
+		nd.Q2.Attach(s.CoreClk)
+		nd.Q3.Attach(s.CoreClk)
 	}
 	// Apply every node's staged replication-tracker ops at the core clock's
-	// edge barrier, in node order — the one piece of cross-node state that
-	// cannot be partitioned across shards.
+	// edge barrier, in node order — the one piece of state shared across
+	// nodes, so no node observes another's same-edge updates.
 	s.CoreClk.OnBarrier(func() {
 		for _, st := range s.stages {
 			st.Apply()
@@ -516,18 +444,17 @@ func (s *System) buildL2AndDram() {
 		s.L2 = append(s.L2, l2)
 		in := sim.NewPort[*mem.Access](8)
 		s.l2in = append(s.l2in, in)
-		s.Noc2Clk.RegisterGrouped(l2, s.sliceGroup(i))
+		s.Noc2Clk.Register(l2)
 		// Port producers, identical across designs: the L2 controller emits
 		// Out/MissOut on the NoC#2 clock; l2in is fed by the request network
 		// (or the SingleL1 miss pump), always on the NoC#2 clock; L2.In by
 		// the l2in pump (NoC#2 clock); FillIn by the DRAM reply pump (memory
-		// clock). l2in groups with its consumer-side slice neighborhood;
-		// FillIn with its producer channel's MemClk group.
-		l2.Out.AttachGrouped(s.Noc2Clk, s.sliceGroup(i))
-		l2.MissOut.AttachGrouped(s.Noc2Clk, s.sliceGroup(i))
-		l2.In.AttachGrouped(s.Noc2Clk, s.sliceGroup(i))
-		l2.FillIn.AttachGrouped(s.MemClk, s.memGroup(s.AMap.Channel(i)))
-		in.AttachGrouped(s.Noc2Clk, s.sliceGroup(i))
+		// clock).
+		l2.Out.Attach(s.Noc2Clk)
+		l2.MissOut.Attach(s.Noc2Clk)
+		l2.In.Attach(s.Noc2Clk)
+		l2.FillIn.Attach(s.MemClk)
+		in.Attach(s.Noc2Clk)
 	}
 	for ch := 0; ch < cfg.Channels; ch++ {
 		dc := dram.New(dram.Params{
@@ -536,11 +463,8 @@ func (s *System) buildL2AndDram() {
 			Map:   s.AMap,
 		})
 		s.Drams = append(s.Drams, dc)
-		// MemClk namespace: channel ch and everything serving it (the reply
-		// pump, the slices' FillIn ports) share group ch; LPT spreads the
-		// channels round-robin.
-		s.MemClk.RegisterGrouped(dc, s.memGroup(ch))
-		dc.Out.AttachGrouped(s.MemClk, s.memGroup(ch))
+		s.MemClk.Register(dc)
+		dc.Out.Attach(s.MemClk)
 	}
 }
 
@@ -585,7 +509,8 @@ func pump(q *sim.Port[*mem.Access], rate int, try func(a *mem.Access) bool) sim.
 // attached port admits exactly one producer component: where many logical
 // sources feed one queue (all cores into the SingleL1 node, all of a DRAM
 // channel's slices into its In port), the fan-in must be a single ticker so
-// the destination's staging buffer is never written concurrently. The
+// the order values enter the destination's staging buffer never depends on
+// tick order. The
 // optional prep hook runs before try with the source index, letting a fan-in
 // treat sources differently (the multi-GPU DRAM fan-in stamps locally
 // originated misses with the module id while link arrivals keep theirs).
@@ -667,11 +592,10 @@ func (s *System) xbar(name string, ins, outs int) *noc.Crossbar {
 func (s *System) wireLocalL1() {
 	for c := 0; c < s.Cfg.Cores; c++ {
 		co, nd := s.Cores[c], s.Nodes[c]
-		g := s.coreClkGroup(c)
-		s.CoreClk.RegisterGrouped(pump(co.Out, pumpRate, nd.Q1.Push), g)
-		s.CoreClk.RegisterGrouped(pump(nd.Q2, pumpRate, co.In.Push), g)
-		nd.Q1.AttachGrouped(s.CoreClk, g)
-		co.In.AttachGrouped(s.CoreClk, g)
+		s.CoreClk.Register(pump(co.Out, pumpRate, nd.Q1.Push))
+		s.CoreClk.Register(pump(nd.Q2, pumpRate, co.In.Push))
+		nd.Q1.Attach(s.CoreClk)
+		co.In.Attach(s.CoreClk)
 	}
 }
 
@@ -683,20 +607,18 @@ func (s *System) wireBaselineNoC() {
 	rep := s.xbar("noc-rep", cfg.L2Slices, cfg.Cores)
 	s.Noc2Req = []*noc.Crossbar{req}
 	s.Noc2Rep = []*noc.Crossbar{rep}
-	gReq, gRep := s.noc2Group(0), s.noc2Group(1)
-	gPump := func(c int) int { return s.noc2Group(2 + c) }
-	s.Noc2Clk.RegisterGrouped(req, gReq)
-	s.Noc2Clk.RegisterGrouped(rep, gRep)
-	req.AttachPortsGrouped(s.Noc2Clk, gPump)
-	rep.AttachPortsGrouped(s.Noc2Clk, s.sliceGroup)
+	s.Noc2Clk.Register(req)
+	s.Noc2Clk.Register(rep)
+	req.AttachPorts(s.Noc2Clk)
+	rep.AttachPorts(s.Noc2Clk)
 	for c := 0; c < cfg.Cores; c++ {
 		c := c
 		nd := s.Nodes[c]
-		s.Noc2Clk.RegisterGrouped(pump(nd.Q3, pumpRate, func(a *mem.Access) bool {
+		s.Noc2Clk.Register(pump(nd.Q3, pumpRate, func(a *mem.Access) bool {
 			return s.inject(req, a, c, s.AMap.L2Slice(a.Line), reqFlits(a, s.D.FlitBytes, true))
-		}), gPump(c))
+		}))
 		rep.SetEndpoint(c, s.sink(nd.Q4))
-		nd.Q4.AttachGrouped(s.Noc2Clk, gRep)
+		nd.Q4.Attach(s.Noc2Clk)
 	}
 	for i := 0; i < cfg.L2Slices; i++ {
 		req.SetEndpoint(i, s.sink(s.l2in[i]))
@@ -716,9 +638,6 @@ func (s *System) wireNoC1() {
 	cfg, d := s.Cfg, s.D
 	switch d.Kind {
 	case Private:
-		// Noc1Clk namespace: one group per DC-L1 node, holding the node's
-		// crossbar pair, every pump feeding them, and their ports — the whole
-		// core↔node neighborhood stays on one shard.
 		per := cfg.Cores / d.DCL1s
 		for n := 0; n < d.DCL1s; n++ {
 			n := n
@@ -726,100 +645,93 @@ func (s *System) wireNoC1() {
 			rep := s.xbar(fmt.Sprintf("noc1-rep-%d", n), 1, per)
 			s.Noc1Req = append(s.Noc1Req, req)
 			s.Noc1Rep = append(s.Noc1Rep, rep)
-			s.Noc1Clk.RegisterGrouped(req, s.noc1Group(n))
-			s.Noc1Clk.RegisterGrouped(rep, s.noc1Group(n))
-			req.AttachPortsGrouped(s.Noc1Clk, func(int) int { return s.noc1Group(n) })
-			rep.AttachPortsGrouped(s.Noc1Clk, func(int) int { return s.noc1Group(n) })
+			s.Noc1Clk.Register(req)
+			s.Noc1Clk.Register(rep)
+			req.AttachPorts(s.Noc1Clk)
+			rep.AttachPorts(s.Noc1Clk)
 			req.SetEndpoint(0, s.sink(s.Nodes[n].Q1))
-			s.Nodes[n].Q1.AttachGrouped(s.Noc1Clk, s.noc1Group(n))
+			s.Nodes[n].Q1.Attach(s.Noc1Clk)
 		}
 		for c := 0; c < cfg.Cores; c++ {
 			c := c
 			n := c / per
 			req := s.Noc1Req[n]
 			src := c % per
-			s.Noc1Clk.RegisterGrouped(pump(s.Cores[c].Out, pumpRate, func(a *mem.Access) bool {
+			s.Noc1Clk.Register(pump(s.Cores[c].Out, pumpRate, func(a *mem.Access) bool {
 				return s.inject(req, a, src, 0, reqFlits(a, d.FlitBytes, false))
-			}), s.noc1Group(n))
+			}))
 			s.Noc1Rep[n].SetEndpoint(src, s.sink(s.Cores[c].In))
-			s.Cores[c].In.AttachGrouped(s.Noc1Clk, s.noc1Group(n))
+			s.Cores[c].In.Attach(s.Noc1Clk)
 		}
 		for n := 0; n < d.DCL1s; n++ {
 			n := n
 			rep := s.Noc1Rep[n]
-			s.Noc1Clk.RegisterGrouped(pump(s.Nodes[n].Q2, pumpRate, func(a *mem.Access) bool {
+			s.Noc1Clk.Register(pump(s.Nodes[n].Q2, pumpRate, func(a *mem.Access) bool {
 				return s.inject(rep, a, 0, a.Core%per, replyFlits(a, d.FlitBytes, true, s.trim))
-			}), s.noc1Group(n))
+			}))
 		}
 	case Shared:
-		// Noc1Clk namespace: the two crossbar hubs get groups 0/1, each
-		// core-side pump 2+c, each node-side pump 2+Cores+n; ports follow
-		// their producers (inj ports the pumps, sink-fed queues the hub).
 		req := s.xbar("noc1-req", cfg.Cores, d.DCL1s)
 		rep := s.xbar("noc1-rep", d.DCL1s, cfg.Cores)
 		s.Noc1Req = []*noc.Crossbar{req}
 		s.Noc1Rep = []*noc.Crossbar{rep}
-		s.Noc1Clk.RegisterGrouped(req, s.noc1Group(0))
-		s.Noc1Clk.RegisterGrouped(rep, s.noc1Group(1))
-		req.AttachPortsGrouped(s.Noc1Clk, func(in int) int { return s.noc1Group(2 + in) })
-		rep.AttachPortsGrouped(s.Noc1Clk, func(in int) int { return s.noc1Group(2 + cfg.Cores + in) })
+		s.Noc1Clk.Register(req)
+		s.Noc1Clk.Register(rep)
+		req.AttachPorts(s.Noc1Clk)
+		rep.AttachPorts(s.Noc1Clk)
 		for c := 0; c < cfg.Cores; c++ {
 			c := c
-			s.Noc1Clk.RegisterGrouped(pump(s.Cores[c].Out, pumpRate, func(a *mem.Access) bool {
+			s.Noc1Clk.Register(pump(s.Cores[c].Out, pumpRate, func(a *mem.Access) bool {
 				return s.inject(req, a, c, s.Map.Home(c, a.Line), reqFlits(a, d.FlitBytes, false))
-			}), s.noc1Group(2+c))
+			}))
 			rep.SetEndpoint(c, s.sink(s.Cores[c].In))
-			s.Cores[c].In.AttachGrouped(s.Noc1Clk, s.noc1Group(1))
+			s.Cores[c].In.Attach(s.Noc1Clk)
 		}
 		for n := 0; n < d.DCL1s; n++ {
 			n := n
 			req.SetEndpoint(n, s.sink(s.Nodes[n].Q1))
-			s.Nodes[n].Q1.AttachGrouped(s.Noc1Clk, s.noc1Group(0))
-			s.Noc1Clk.RegisterGrouped(pump(s.Nodes[n].Q2, pumpRate, func(a *mem.Access) bool {
+			s.Nodes[n].Q1.Attach(s.Noc1Clk)
+			s.Noc1Clk.Register(pump(s.Nodes[n].Q2, pumpRate, func(a *mem.Access) bool {
 				return s.inject(rep, a, n, a.Core, replyFlits(a, d.FlitBytes, true, s.trim))
-			}), s.noc1Group(2+cfg.Cores+n))
+			}))
 		}
 	case Clustered:
-		// Noc1Clk namespace: crossbar pair of cluster cl → 2cl/2cl+1, then
-		// per-pump groups past 2z (core pump c → base+c, node pump n →
-		// base+Cores+n) so LPT can balance within big clusters.
 		z := d.Clusters
 		m := d.DCL1s / z
 		coresPer := cfg.Cores / z
-		base := 2 * z
 		for cl := 0; cl < z; cl++ {
 			cl := cl
 			req := s.xbar(fmt.Sprintf("noc1-req-%d", cl), coresPer, m)
 			rep := s.xbar(fmt.Sprintf("noc1-rep-%d", cl), m, coresPer)
 			s.Noc1Req = append(s.Noc1Req, req)
 			s.Noc1Rep = append(s.Noc1Rep, rep)
-			s.Noc1Clk.RegisterGrouped(req, s.noc1Group(2*cl))
-			s.Noc1Clk.RegisterGrouped(rep, s.noc1Group(2*cl+1))
-			req.AttachPortsGrouped(s.Noc1Clk, func(in int) int { return s.noc1Group(base + cl*coresPer + in) })
-			rep.AttachPortsGrouped(s.Noc1Clk, func(in int) int { return s.noc1Group(base + cfg.Cores + cl*m + in) })
+			s.Noc1Clk.Register(req)
+			s.Noc1Clk.Register(rep)
+			req.AttachPorts(s.Noc1Clk)
+			rep.AttachPorts(s.Noc1Clk)
 			for j := 0; j < m; j++ {
 				req.SetEndpoint(j, s.sink(s.Nodes[cl*m+j].Q1))
-				s.Nodes[cl*m+j].Q1.AttachGrouped(s.Noc1Clk, s.noc1Group(2*cl))
+				s.Nodes[cl*m+j].Q1.Attach(s.Noc1Clk)
 			}
 		}
 		for c := 0; c < cfg.Cores; c++ {
 			c := c
 			cl := c / coresPer
 			req := s.Noc1Req[cl]
-			s.Noc1Clk.RegisterGrouped(pump(s.Cores[c].Out, pumpRate, func(a *mem.Access) bool {
+			s.Noc1Clk.Register(pump(s.Cores[c].Out, pumpRate, func(a *mem.Access) bool {
 				local := s.Map.Home(c, a.Line) - cl*m
 				return s.inject(req, a, c%coresPer, local, reqFlits(a, d.FlitBytes, false))
-			}), s.noc1Group(base+c))
+			}))
 			s.Noc1Rep[cl].SetEndpoint(c%coresPer, s.sink(s.Cores[c].In))
-			s.Cores[c].In.AttachGrouped(s.Noc1Clk, s.noc1Group(2*cl+1))
+			s.Cores[c].In.Attach(s.Noc1Clk)
 		}
 		for n := 0; n < d.DCL1s; n++ {
 			n := n
 			cl := n / m
 			rep := s.Noc1Rep[cl]
-			s.Noc1Clk.RegisterGrouped(pump(s.Nodes[n].Q2, pumpRate, func(a *mem.Access) bool {
+			s.Noc1Clk.Register(pump(s.Nodes[n].Q2, pumpRate, func(a *mem.Access) bool {
 				return s.inject(rep, a, n%m, a.Core%coresPer, replyFlits(a, d.FlitBytes, true, s.trim))
-			}), s.noc1Group(base+cfg.Cores+n))
+			}))
 		}
 	}
 }
@@ -830,43 +742,41 @@ func (s *System) wireNoC1() {
 // isolates the capacity effect of eliminating replication).
 func (s *System) wireSingleL1() {
 	nd := s.Nodes[0]
-	gNode := s.nodeClkGroup(0)
 	// Every core's Out feeds the one node's Q1, so the fan-in must be a
-	// single composite pump: an attached port has exactly one producer. The
-	// fan-in/fan-out pumps and their ports group with the node hub.
+	// single composite pump: an attached port has exactly one producer.
 	outs := make([]*sim.Port[*mem.Access], s.Cfg.Cores)
 	for c, co := range s.Cores {
 		outs[c] = co.Out
 	}
-	s.CoreClk.RegisterGrouped(&multiPump{srcs: outs, rate: pumpRate, try: nd.Q1.Push}, gNode)
-	nd.Q1.AttachGrouped(s.CoreClk, gNode)
+	s.CoreClk.Register(&multiPump{srcs: outs, rate: pumpRate, try: nd.Q1.Push})
+	nd.Q1.Attach(s.CoreClk)
 	// Replies demultiplex back to cores by Access.Core.
-	s.CoreClk.RegisterGrouped(pump(nd.Q2, 2*s.Cfg.Cores, func(a *mem.Access) bool {
+	s.CoreClk.Register(pump(nd.Q2, 2*s.Cfg.Cores, func(a *mem.Access) bool {
 		return s.Cores[a.Core].In.Push(a)
-	}), gNode)
+	}))
 	for _, co := range s.Cores {
-		co.In.AttachGrouped(s.CoreClk, gNode)
+		co.In.Attach(s.CoreClk)
 	}
 	// Miss path: ideal full-width connection to the L2 slices.
-	s.Noc2Clk.RegisterGrouped(pump(nd.Q3, 2*s.Cfg.Cores, func(a *mem.Access) bool {
+	s.Noc2Clk.Register(pump(nd.Q3, 2*s.Cfg.Cores, func(a *mem.Access) bool {
 		return s.l2in[s.AMap.L2Slice(a.Line)].Push(a)
-	}), s.noc2Group(0))
+	}))
 	// L2 side: per-slice l2in→L2.In pumps, plus one composite pump over all
 	// L2 outputs into the node's Q4 (again a single producer), consuming
 	// orphan writeback ACKs as wireL2Replies does for the NoC designs.
 	l2outs := make([]*sim.Port[*mem.Access], len(s.L2))
 	for i := range s.L2 {
-		s.Noc2Clk.RegisterGrouped(pump(s.l2in[i], pumpRate, s.L2[i].In.Push), s.sliceGroup(i))
+		s.Noc2Clk.Register(pump(s.l2in[i], pumpRate, s.L2[i].In.Push))
 		l2outs[i] = s.L2[i].Out
 	}
-	s.Noc2Clk.RegisterGrouped(&multiPump{srcs: l2outs, rate: pumpRate, try: func(a *mem.Access) bool {
+	s.Noc2Clk.Register(&multiPump{srcs: l2outs, rate: pumpRate, try: func(a *mem.Access) bool {
 		if a.Kind == mem.Store && a.Core == -1 {
 			s.Pool.PutAccess(a) // orphan writeback ACK: drop and retire
 			return true
 		}
 		return nd.Q4.Push(a)
-	}}, s.noc2Group(1))
-	nd.Q4.AttachGrouped(s.Noc2Clk, s.noc2Group(1))
+	}})
+	nd.Q4.Attach(s.Noc2Clk)
 }
 
 // wireNoC2Flat builds the single Y×L2 request / L2×Y reply crossbars used by
@@ -878,19 +788,17 @@ func (s *System) wireNoC2Flat() {
 	rep := s.xbar("noc2-rep", cfg.L2Slices, y)
 	s.Noc2Req = []*noc.Crossbar{req}
 	s.Noc2Rep = []*noc.Crossbar{rep}
-	gReq, gRep := s.noc2Group(0), s.noc2Group(1)
-	gPump := func(n int) int { return s.noc2Group(2 + n) }
-	s.Noc2Clk.RegisterGrouped(req, gReq)
-	s.Noc2Clk.RegisterGrouped(rep, gRep)
-	req.AttachPortsGrouped(s.Noc2Clk, gPump)
-	rep.AttachPortsGrouped(s.Noc2Clk, s.sliceGroup)
+	s.Noc2Clk.Register(req)
+	s.Noc2Clk.Register(rep)
+	req.AttachPorts(s.Noc2Clk)
+	rep.AttachPorts(s.Noc2Clk)
 	for n := 0; n < y; n++ {
 		n := n
-		s.Noc2Clk.RegisterGrouped(pump(s.Nodes[n].Q3, pumpRate, func(a *mem.Access) bool {
+		s.Noc2Clk.Register(pump(s.Nodes[n].Q3, pumpRate, func(a *mem.Access) bool {
 			return s.inject(req, a, n, s.AMap.L2Slice(a.Line), reqFlits(a, s.D.FlitBytes, true))
-		}), gPump(n))
+		}))
 		rep.SetEndpoint(n, s.sink(s.Nodes[n].Q4))
-		s.Nodes[n].Q4.AttachGrouped(s.Noc2Clk, gRep)
+		s.Nodes[n].Q4.Attach(s.Noc2Clk)
 	}
 	for i := 0; i < cfg.L2Slices; i++ {
 		req.SetEndpoint(i, s.sink(s.l2in[i]))
@@ -910,20 +818,16 @@ func (s *System) wireNoC2Clustered() {
 	z := d.Clusters
 	m := d.DCL1s / z
 	o := cfg.L2Slices / m
-	// Noc2Clk extras: crossbar pair j → noc2Group(2j)/noc2Group(2j+1), node
-	// pump n → noc2Group(2m+n); inj ports follow the pumps, sink-fed ports
-	// the crossbar (Q4) or slice neighborhood (l2in, grouped at build).
-	gPump := func(n int) int { return s.noc2Group(2*m + n) }
 	for j := 0; j < m; j++ {
 		j := j
 		req := s.xbar(fmt.Sprintf("noc2-req-%d", j), z, o)
 		rep := s.xbar(fmt.Sprintf("noc2-rep-%d", j), o, z)
 		s.Noc2Req = append(s.Noc2Req, req)
 		s.Noc2Rep = append(s.Noc2Rep, rep)
-		s.Noc2Clk.RegisterGrouped(req, s.noc2Group(2*j))
-		s.Noc2Clk.RegisterGrouped(rep, s.noc2Group(2*j+1))
-		req.AttachPortsGrouped(s.Noc2Clk, func(cl int) int { return gPump(cl*m + j) })
-		rep.AttachPortsGrouped(s.Noc2Clk, func(k int) int { return s.sliceGroup(k*m + j) })
+		s.Noc2Clk.Register(req)
+		s.Noc2Clk.Register(rep)
+		req.AttachPorts(s.Noc2Clk)
+		rep.AttachPorts(s.Noc2Clk)
 		// Output ports: L2 slices with slice%m == j, indexed by slice/m.
 		for k := 0; k < o; k++ {
 			req.SetEndpoint(k, s.sink(s.l2in[k*m+j]))
@@ -934,12 +838,12 @@ func (s *System) wireNoC2Clustered() {
 		cl := n / m
 		j := n % m
 		req := s.Noc2Req[j]
-		s.Noc2Clk.RegisterGrouped(pump(s.Nodes[n].Q3, pumpRate, func(a *mem.Access) bool {
+		s.Noc2Clk.Register(pump(s.Nodes[n].Q3, pumpRate, func(a *mem.Access) bool {
 			slice := s.AMap.L2Slice(a.Line)
 			return s.inject(req, a, cl, slice/m, reqFlits(a, d.FlitBytes, true))
-		}), gPump(n))
+		}))
 		s.Noc2Rep[j].SetEndpoint(cl, s.sink(s.Nodes[n].Q4))
-		s.Nodes[n].Q4.AttachGrouped(s.Noc2Clk, s.noc2Group(2*j+1))
+		s.Nodes[n].Q4.Attach(s.Noc2Clk)
 	}
 	cmap := s.Map.(dcl1.ClusteredMap)
 	s.wireL2Replies(func(a *mem.Access, slice int) bool {
@@ -971,11 +875,6 @@ func (s *System) wireCDXBarNoC() {
 			midRep[i][j] = sim.NewPort[*mem.Access](4)
 		}
 	}
-	// Noc1Clk namespace: stage-1 pair of group gi → 2gi/2gi+1, core pump c →
-	// base1+c, mid reply pump (gi,j) → base1+Cores+gi*mid+j. Noc2Clk extras:
-	// stage-2 pair j → noc2Group(2j)/noc2Group(2j+1), mid request pump
-	// (gi,j) → noc2Group(2mid+gi*mid+j). Ports follow their producers.
-	base1 := 2 * g
 	// Stage 1 (per group): per×mid request, mid×per reply. Runs on Noc1Clk
 	// so CDXBar+2xNoC1 boosts only this stage.
 	var s1req, s1rep []*noc.Crossbar
@@ -985,13 +884,13 @@ func (s *System) wireCDXBarNoC() {
 		rep := s.xbar(fmt.Sprintf("cdx-s1-rep-%d", gi), mid, per)
 		s1req = append(s1req, req)
 		s1rep = append(s1rep, rep)
-		s.Noc1Clk.RegisterGrouped(req, s.noc1Group(2*gi))
-		s.Noc1Clk.RegisterGrouped(rep, s.noc1Group(2*gi+1))
-		req.AttachPortsGrouped(s.Noc1Clk, func(in int) int { return s.noc1Group(base1 + gi*per + in) })
-		rep.AttachPortsGrouped(s.Noc1Clk, func(j int) int { return s.noc1Group(base1 + cfg.Cores + gi*mid + j) })
+		s.Noc1Clk.Register(req)
+		s.Noc1Clk.Register(rep)
+		req.AttachPorts(s.Noc1Clk)
+		rep.AttachPorts(s.Noc1Clk)
 		for j := 0; j < mid; j++ {
 			req.SetEndpoint(j, s.sink(midReq[gi][j]))
-			midReq[gi][j].AttachGrouped(s.Noc1Clk, s.noc1Group(2*gi))
+			midReq[gi][j].Attach(s.Noc1Clk)
 		}
 	}
 	s.Noc1Req = s1req
@@ -1004,10 +903,10 @@ func (s *System) wireCDXBarNoC() {
 		rep := s.xbar(fmt.Sprintf("cdx-s2-rep-%d", j), o, g)
 		s2req = append(s2req, req)
 		s2rep = append(s2rep, rep)
-		s.Noc2Clk.RegisterGrouped(req, s.noc2Group(2*j))
-		s.Noc2Clk.RegisterGrouped(rep, s.noc2Group(2*j+1))
-		req.AttachPortsGrouped(s.Noc2Clk, func(gi int) int { return s.noc2Group(2*mid + gi*mid + j) })
-		rep.AttachPortsGrouped(s.Noc2Clk, func(k int) int { return s.sliceGroup(k*mid + j) })
+		s.Noc2Clk.Register(req)
+		s.Noc2Clk.Register(rep)
+		req.AttachPorts(s.Noc2Clk)
+		rep.AttachPorts(s.Noc2Clk)
 		for k := 0; k < o; k++ {
 			req.SetEndpoint(k, s.sink(s.l2in[k*mid+j]))
 		}
@@ -1020,37 +919,37 @@ func (s *System) wireCDXBarNoC() {
 		gi := c / per
 		nd := s.Nodes[c]
 		req := s1req[gi]
-		s.Noc1Clk.RegisterGrouped(pump(nd.Q3, pumpRate, func(a *mem.Access) bool {
+		s.Noc1Clk.Register(pump(nd.Q3, pumpRate, func(a *mem.Access) bool {
 			slice := s.AMap.L2Slice(a.Line)
 			return s.inject(req, a, c%per, slice%mid, reqFlits(a, d.FlitBytes, true))
-		}), s.noc1Group(base1+c))
+		}))
 		s1rep[gi].SetEndpoint(c%per, s.sink(nd.Q4))
-		nd.Q4.AttachGrouped(s.Noc1Clk, s.noc1Group(2*gi+1))
+		nd.Q4.Attach(s.Noc1Clk)
 	}
 	for gi := 0; gi < g; gi++ {
 		gi := gi
 		for j := 0; j < mid; j++ {
 			j := j
 			req2 := s2req[j]
-			s.Noc2Clk.RegisterGrouped(pump(midReq[gi][j], pumpRate, func(a *mem.Access) bool {
+			s.Noc2Clk.Register(pump(midReq[gi][j], pumpRate, func(a *mem.Access) bool {
 				slice := s.AMap.L2Slice(a.Line)
 				return s.inject(req2, a, gi, slice/mid, reqFlits(a, d.FlitBytes, true))
-			}), s.noc2Group(2*mid+gi*mid+j))
+			}))
 			rep1 := s1rep[gi]
-			s.Noc1Clk.RegisterGrouped(pump(midRep[gi][j], pumpRate, func(a *mem.Access) bool {
+			s.Noc1Clk.Register(pump(midRep[gi][j], pumpRate, func(a *mem.Access) bool {
 				who := a.Core
 				if a.Core == cache.PrefetchCore {
 					who = a.Node
 				}
 				return s.inject(rep1, a, j, who%per, replyFlits(a, d.FlitBytes, false, false))
-			}), s.noc1Group(base1+cfg.Cores+gi*mid+j))
+			}))
 		}
 	}
 	for j := 0; j < mid; j++ {
 		j := j
 		for gi := 0; gi < g; gi++ {
 			s2rep[j].SetEndpoint(gi, s.sink(midRep[gi][j]))
-			midRep[gi][j].AttachGrouped(s.Noc2Clk, s.noc2Group(2*j+1))
+			midRep[gi][j].Attach(s.Noc2Clk)
 		}
 	}
 	s.wireL2Replies(func(a *mem.Access, slice int) bool {
@@ -1071,14 +970,14 @@ func (s *System) wireCDXBarNoC() {
 func (s *System) wireL2Replies(inject func(a *mem.Access, slice int) bool) {
 	for i := range s.L2 {
 		i := i
-		s.Noc2Clk.RegisterGrouped(pump(s.l2in[i], pumpRate, s.L2[i].In.Push), s.sliceGroup(i))
-		s.Noc2Clk.RegisterGrouped(pump(s.L2[i].Out, pumpRate, func(a *mem.Access) bool {
+		s.Noc2Clk.Register(pump(s.l2in[i], pumpRate, s.L2[i].In.Push))
+		s.Noc2Clk.Register(pump(s.L2[i].Out, pumpRate, func(a *mem.Access) bool {
 			if a.Kind == mem.Store && a.Core == -1 {
 				s.Pool.PutAccess(a) // orphan writeback ACK: drop and retire
 				return true
 			}
 			return inject(a, i)
-		}), s.sliceGroup(i))
+		}))
 	}
 }
 
@@ -1108,8 +1007,8 @@ func (s *System) wireMemSide() {
 	}
 	for ch, dc := range s.Drams {
 		if !multi {
-			s.Noc2Clk.RegisterGrouped(&multiPump{srcs: missByCh[ch], rate: pumpRate, try: dc.In.Push}, s.chanGroup(ch))
-			dc.In.AttachGrouped(s.Noc2Clk, s.chanGroup(ch))
+			s.Noc2Clk.Register(&multiPump{srcs: missByCh[ch], rate: pumpRate, try: dc.In.Push})
+			dc.In.Attach(s.Noc2Clk)
 			continue
 		}
 		ch, dc := ch, dc
@@ -1118,7 +1017,7 @@ func (s *System) wireMemSide() {
 		// the module so its fill can find the way home.
 		nLocal := len(missByCh[ch])
 		srcs := append(append([]*sim.Port[*mem.Access]{}, missByCh[ch]...), s.linkReqIn[ch])
-		s.Noc2Clk.RegisterGrouped(&multiPump{
+		s.Noc2Clk.Register(&multiPump{
 			srcs: srcs,
 			rate: pumpRate,
 			prep: func(si int, a *mem.Access) {
@@ -1132,27 +1031,27 @@ func (s *System) wireMemSide() {
 				}
 				return s.linkMissOut[ch].Push(a)
 			},
-		}, s.chanGroup(ch))
-		dc.In.AttachGrouped(s.Noc2Clk, s.chanGroup(ch))
-		s.linkMissOut[ch].AttachGrouped(s.Noc2Clk, s.chanGroup(ch))
+		})
+		dc.In.Attach(s.Noc2Clk)
+		s.linkMissOut[ch].Attach(s.Noc2Clk)
 	}
 	for ch, dc := range s.Drams {
 		dc := dc
 		if !multi {
-			s.MemClk.RegisterGrouped(pump(dc.Out, pumpRate, func(a *mem.Access) bool {
+			s.MemClk.Register(pump(dc.Out, pumpRate, func(a *mem.Access) bool {
 				if a.Kind == mem.Store && a.Core == -1 {
 					s.Pool.PutAccess(a) // orphan writeback ACK: drop and retire
 					return true
 				}
 				return s.L2[s.AMap.L2Slice(a.Line)].FillIn.Push(a)
-			}), s.memGroup(ch))
+			}))
 			continue
 		}
 		ch := ch
 		// DRAM output first, then fills arriving over the link; orphan
 		// writeback ACKs retire at the home module (nothing waits for them),
 		// remote-origin fills divert to the link egress.
-		s.MemClk.RegisterGrouped(&multiPump{
+		s.MemClk.Register(&multiPump{
 			srcs: []*sim.Port[*mem.Access]{dc.Out, s.linkFillIn[ch]},
 			rate: pumpRate,
 			try: func(a *mem.Access) bool {
@@ -1165,7 +1064,7 @@ func (s *System) wireMemSide() {
 				}
 				return s.L2[s.AMap.L2Slice(a.Line)].FillIn.Push(a)
 			},
-		}, s.memGroup(ch))
-		s.linkRepOut[ch].AttachGrouped(s.MemClk, s.memGroup(ch))
+		})
+		s.linkRepOut[ch].Attach(s.MemClk)
 	}
 }

@@ -9,8 +9,7 @@ import (
 // InstallChaos arms deterministic fault injection on every component of the
 // built system. Each component receives its own injector stream keyed by
 // (spec.Seed, subsystem kind, component index), so the fault schedule is a
-// pure function of the spec and independent of shard count, tick mode, and
-// wall-clock — see the chaos package doc. Must be called before the first
+// pure function of the spec and independent of tick mode and wall-clock — see the chaos package doc. Must be called before the first
 // cycle runs; calling it twice or with an invalid spec returns an error.
 // A nil spec is a no-op.
 //

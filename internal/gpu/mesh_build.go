@@ -39,37 +39,21 @@ func (s *System) wireMeshNoC() {
 	req := mk("mesh-req")
 	rep := mk("mesh-rep")
 	s.MeshReq, s.MeshRep = req, rep
-	// Noc2Clk extras: the two mesh hubs → noc2Group(0)/noc2Group(1), core
-	// pump c → noc2Group(2+c). Injection ports follow their producers: core
-	// nodes inject requests (pump groups), L2 nodes inject replies (slice
-	// groups); the unused direction of each port stays ungrouped.
-	gReq, gRep := s.noc2Group(0), s.noc2Group(1)
-	gPump := func(c int) int { return s.noc2Group(2 + c) }
-	s.Noc2Clk.RegisterGrouped(req, gReq)
-	s.Noc2Clk.RegisterGrouped(rep, gRep)
-	req.AttachPortsGrouped(s.Noc2Clk, func(n int) int {
-		if n < cfg.Cores {
-			return gPump(n)
-		}
-		return -1
-	})
-	rep.AttachPortsGrouped(s.Noc2Clk, func(n int) int {
-		if n >= cfg.Cores && n < cfg.Cores+cfg.L2Slices {
-			return s.sliceGroup(n - cfg.Cores)
-		}
-		return -1
-	})
+	s.Noc2Clk.Register(req)
+	s.Noc2Clk.Register(rep)
+	req.AttachPorts(s.Noc2Clk)
+	rep.AttachPorts(s.Noc2Clk)
 
 	l2Node := func(slice int) int { return cfg.Cores + slice }
 
 	for c := 0; c < cfg.Cores; c++ {
 		c := c
 		nd := s.Nodes[c]
-		s.Noc2Clk.RegisterGrouped(pump(nd.Q3, pumpRate, func(a *mem.Access) bool {
+		s.Noc2Clk.Register(pump(nd.Q3, pumpRate, func(a *mem.Access) bool {
 			return s.inject(req, a, c, l2Node(s.AMap.L2Slice(a.Line)), reqFlits(a, s.D.FlitBytes, true))
-		}), gPump(c))
+		}))
 		rep.SetEndpoint(c, s.sink(nd.Q4))
-		nd.Q4.AttachGrouped(s.Noc2Clk, gRep)
+		nd.Q4.Attach(s.Noc2Clk)
 	}
 	for i := 0; i < cfg.L2Slices; i++ {
 		req.SetEndpoint(l2Node(i), s.sink(s.l2in[i]))

@@ -27,7 +27,7 @@ func multiDesigns() []struct {
 
 // TestModuleDeterminismMatrix proves multi-GPU machines keep the simulator's
 // determinism contract: Results and the live metrics stream are byte-equal
-// across every shard count and both tick modes, for 2- and 4-module machines.
+// across both tick modes, for 2- and 4-module machines.
 func TestModuleDeterminismMatrix(t *testing.T) {
 	for _, md := range multiDesigns() {
 		md := md
@@ -41,11 +41,11 @@ func TestModuleDeterminismMatrix(t *testing.T) {
 					continue
 				}
 				if !bytes.Equal(res, wantRes) {
-					t.Errorf("%s: Results diverge from serial run:\n got: %s\nwant: %s",
+					t.Errorf("%s: Results diverge from the fast-path run:\n got: %s\nwant: %s",
 						v.key, res, wantRes)
 				}
 				if !bytes.Equal(stream, wantStream) {
-					t.Errorf("%s: metrics stream diverges from serial run (%d vs %d bytes)",
+					t.Errorf("%s: metrics stream diverges from the fast-path run (%d vs %d bytes)",
 						v.key, len(stream), len(wantStream))
 				}
 			}

@@ -2,7 +2,6 @@ package gpu
 
 import (
 	"fmt"
-	"runtime"
 	"runtime/debug"
 	"time"
 
@@ -20,9 +19,8 @@ import (
 // Systems — each today's complete machine with cores, (DC-)L1 nodes, NoCs,
 // L2, and DRAM — joined by an inter-module link. All modules share one
 // engine, one set of clocks, one recycling pool, and one metric registry;
-// each module's components carry an "m<i>." name prefix and live in
-// module-scoped locality groups, so sharded execution can place whole
-// modules coherently and no series or group ids collide.
+// each module's components carry an "m<i>." name prefix, so no component or
+// series names collide.
 //
 // The link is an NVLink-ish pair of Modules×Modules crossbars (request and
 // reply directions) on their own 1 GHz LinkClk domain, flit-sliced at
@@ -93,16 +91,6 @@ func NewMachine(cfg Config, d Design, app workload.Source, opts ...BuildOption) 
 	m.MemClk = m.Eng.NewClock("mem", cfg.MemMHz)
 	m.LinkClk = m.Eng.NewClock("link", LinkClkMHz)
 
-	// Per-clock group spans: generous upper bounds on the ids one module's
-	// wiring allocates in each clock namespace. Collisions would only hurt
-	// placement quality, never results, but disjoint spans keep each module
-	// one coherent neighborhood for the locality-aware partitioner.
-	nodes := nodeCountOf(cfg, d)
-	coreSpan := cfg.Cores + nodes + 8
-	noc1Span := 2*cfg.Cores + 2*nodes + 64
-	noc2Span := cfg.L2Slices + cfg.Channels + 2*cfg.Cores + 2*nodes + 64
-	memSpan := cfg.Channels + 8
-
 	for i := 0; i < d.Modules; i++ {
 		modApp := app
 		if ms, ok := app.(workload.ModuleSource); ok {
@@ -118,10 +106,6 @@ func NewMachine(cfg Config, d Design, app workload.Source, opts ...BuildOption) 
 			reg:     m.Reg,
 			module:  i,
 			modules: d.Modules,
-			gbCore:  i * coreSpan,
-			gbNoc1:  i * noc1Span,
-			gbNoc2:  i * noc2Span,
-			gbMem:   i * memSpan,
 		})}, opts...)
 		m.Mods = append(m.Mods, NewSystem(cfg, d, modApp, bo...))
 	}
@@ -154,9 +138,6 @@ func NewMachineChecked(cfg Config, d Design, app workload.Source, opts ...BuildO
 
 // wireLink builds the inter-module crossbar pair and the LinkClk pumps
 // moving traffic between each module's per-channel link ports and the link.
-//
-// LinkClk namespace: module m's pumps and the ports delivered to it use
-// group m; the two crossbar hubs get Modules and Modules+1.
 func (m *Machine) wireLink() {
 	d := m.D
 	n := d.Modules
@@ -169,10 +150,10 @@ func (m *Machine) wireLink() {
 	req := mk("link-req")
 	rep := mk("link-rep")
 	m.LinkReq, m.LinkRep = req, rep
-	m.LinkClk.RegisterGrouped(req, n)
-	m.LinkClk.RegisterGrouped(rep, n+1)
-	req.AttachPortsGrouped(m.LinkClk, func(in int) int { return in })
-	rep.AttachPortsGrouped(m.LinkClk, func(in int) int { return in })
+	m.LinkClk.Register(req)
+	m.LinkClk.Register(rep)
+	req.AttachPorts(m.LinkClk)
+	rep.AttachPorts(m.LinkClk)
 
 	inject := func(x *noc.Crossbar, a *mem.Access, src, dst, flits int) bool {
 		p := m.Pool.GetPacket()
@@ -204,27 +185,27 @@ func (m *Machine) wireLink() {
 		// Requests: remote-homed misses leave module i toward the home
 		// module's DRAM. Whole lines matter on the memory side, so requests
 		// carry full-store payloads like NoC#2 (reqFlits fullStore).
-		m.LinkClk.RegisterGrouped(&multiPump{
+		m.LinkClk.Register(&multiPump{
 			srcs: mod.linkMissOut,
 			rate: pumpRate,
 			try: func(a *mem.Access) bool {
 				return inject(req, a, i, amap.HomeModule(a.Line), reqFlits(a, d.LinkGBps, true))
 			},
-		}, i)
+		})
 		req.SetEndpoint(i, sinkPort(mod.linkReqIn))
 		// Fills: home DRAM data returns to the origin module. Full lines,
 		// never trimmed (both ends are memory-side).
-		m.LinkClk.RegisterGrouped(&multiPump{
+		m.LinkClk.Register(&multiPump{
 			srcs: mod.linkRepOut,
 			rate: pumpRate,
 			try: func(a *mem.Access) bool {
 				return inject(rep, a, i, a.Module, replyFlits(a, d.LinkGBps, false, false))
 			},
-		}, i)
+		})
 		rep.SetEndpoint(i, sinkPort(mod.linkFillIn))
 		for ch := range mod.linkReqIn {
-			mod.linkReqIn[ch].AttachGrouped(m.LinkClk, i)
-			mod.linkFillIn[ch].AttachGrouped(m.LinkClk, i)
+			mod.linkReqIn[ch].Attach(m.LinkClk)
+			mod.linkFillIn[ch].Attach(m.LinkClk)
 		}
 	}
 
@@ -243,28 +224,6 @@ func (m *Machine) wireLink() {
 
 // SetFastPath toggles the engine's quiescence fast path for this machine.
 func (m *Machine) SetFastPath(on bool) { m.Eng.SetFastPath(on) }
-
-// SetStridedPlacement switches shard placement back to the legacy strided
-// partition, as System.SetStridedPlacement does.
-func (m *Machine) SetStridedPlacement(on bool) { m.Eng.SetStridedPlacement(on) }
-
-// SetShards sets the shard count, as System.SetShards does.
-func (m *Machine) SetShards(n int) {
-	if n == ShardsAuto {
-		n = runtime.GOMAXPROCS(0)
-		if w := m.Eng.MaxClockComponents(); w < n {
-			n = w
-		}
-		if n < 1 {
-			n = 1
-		}
-	}
-	m.Eng.SetShards(n)
-	m.Pool.SetConcurrent(n > 1)
-}
-
-// Shards reports the configured shard count (1 = serial).
-func (m *Machine) Shards() int { return m.Eng.Shards() }
 
 // InstallChaos arms deterministic fault injection on every component of
 // every module plus the inter-module link crossbars. Component indices are
@@ -364,7 +323,6 @@ func (m *Machine) InstallTelemetry(opts metrics.Options, cap *power.CapSpec) err
 			}
 		})
 	}
-	col.SetSharder(m.CoreClk)
 	m.collector = col
 	m.CoreClk.Register(col)
 	m.CoreClk.OnBarrier(col.Fold)
@@ -473,12 +431,6 @@ func (m *Machine) RunChecked(opts HealthOptions) (r Results, err error) {
 	}()
 	if opts.LegacyTick {
 		m.Eng.SetFastPath(false)
-	}
-	if opts.StridedPlacement {
-		m.SetStridedPlacement(true)
-	}
-	if opts.Shards > 1 || opts.Shards == ShardsAuto {
-		m.SetShards(opts.Shards)
 	}
 	if opts.Chaos != nil {
 		if err := m.InstallChaos(opts.Chaos); err != nil {

@@ -155,9 +155,8 @@ func (m *Mesh) SetEndpoint(n int, e Endpoint) { m.endpoints[n] = e }
 // Inject offers a packet at node p.Src's local input; p.Dst is the
 // destination node. The packet lands in the node's injection port — the
 // mesh's two-phase boundary: wrapping in a meshPacket (free-list state) and
-// the pending count happen when Tick drains the port, so concurrent
-// producers never touch shared mesh state. Returns false when the injection
-// port is full.
+// the pending count happen when Tick drains the port, so producers never
+// touch shared mesh state. Returns false when the injection port is full.
 func (m *Mesh) Inject(p *mem.Packet) bool {
 	if p.Src < 0 || p.Src >= m.Nodes() || p.Dst < 0 || p.Dst >= m.Nodes() {
 		panic(fmt.Sprintf("noc: mesh %s inject with bad nodes src=%d dst=%d", m.P.Name, p.Src, p.Dst))
@@ -179,19 +178,8 @@ func (m *Mesh) Inject(p *mem.Packet) bool {
 // clock every producer of this mesh ticks on) and moves the credit-grant
 // application to clk's edge barrier.
 func (m *Mesh) AttachPorts(clk *sim.Clock) {
-	m.AttachPortsGrouped(clk, nil)
-}
-
-// AttachPortsGrouped is AttachPorts with shard-locality groups: groupOf(n)
-// names the locality group of node n's producer (the pump staging into
-// inj[n]). A nil groupOf or a negative group leaves that port ungrouped.
-func (m *Mesh) AttachPortsGrouped(clk *sim.Clock, groupOf func(node int) int) {
-	for n, p := range m.inj {
-		g := -1
-		if groupOf != nil {
-			g = groupOf(n)
-		}
-		p.AttachGrouped(clk, g)
+	for _, p := range m.inj {
+		p.Attach(clk)
 	}
 	m.attached = true
 	clk.OnBarrier(m.applyCredits)
@@ -199,7 +187,7 @@ func (m *Mesh) AttachPortsGrouped(clk *sim.Clock, groupOf func(node int) int) {
 
 // applyCredits returns the credits of this edge's local-input grants to the
 // producers. Runs at the edge barrier (attached) or at the end of Tick
-// (immediate mode) — never concurrently with Inject.
+// (immediate mode) — never interleaved with Inject.
 func (m *Mesh) applyCredits() {
 	for _, n := range m.granted {
 		m.credit[n]--

@@ -3,15 +3,12 @@
 // (drift-free) tick scheduling, bounded FIFO queues with backpressure, fixed
 // delay pipes, and a small deterministic RNG.
 //
-// The engine is deterministic by construction rather than by serialization:
-// cross-component communication goes through two-phase Ports (staged pushes
-// become visible only at the owning clock's edge barrier), so the order
-// components tick within an edge cannot influence results. Serial execution
-// is the shards=1 degenerate case of the same code path; SetShards(n) spreads
-// each edge's ticks across a fixed worker pool with a stable component→shard
-// assignment and produces bit-identical results at any shard count (see
-// DESIGN.md §11). Experiment-level parallelism (independent runs) composes
-// with this via the sweep workers.
+// The engine is deterministic by construction: cross-component communication
+// goes through two-phase Ports (staged pushes become visible only at the
+// owning clock's edge barrier), so the order components tick within an edge
+// cannot influence results (see DESIGN.md §11). One simulation runs on one
+// goroutine; parallelism comes from running independent simulations at once
+// (the sweep workers and the lease farm).
 package sim
 
 import (
@@ -85,19 +82,6 @@ type Clock struct {
 	cycle Cycle
 	comps []Ticker
 
-	// Locality groups, parallel to comps/ports (-1 = ungrouped), and the
-	// cached shard partition built from them (see placement.go). lastTicked
-	// is the previous eval edge's productive tick count, the predictor the
-	// dispatch-threshold uses to keep light edges serial; -1 until known.
-	groups     []int
-	portGroups []int
-	plan       *shardPlan
-	lastTicked int
-
-	// curEx is the engine's executor while this clock's barrier tasks run,
-	// so RunSharded can borrow the idle pool; nil outside barriers.
-	curEx *executor
-
 	// Quiescence fast path (see Sleeper). sleepers/skippers parallel comps;
 	// a nil entry means the component never sleeps / needs no compensation.
 	sleepers    []Sleeper
@@ -126,12 +110,6 @@ type Clock struct {
 // re-evaluating its sleepers.
 const busyBackoff = 8
 
-// shardWorkMin is the minimum productive ticks *per shard* (predicted from
-// the previous eval edge) below which an edge is not worth dispatching: a
-// near-idle edge on a big clock is a snapshot refresh plus a handful of
-// ticks, and a serial pass beats waking n-1 workers for it.
-const shardWorkMin = 4
-
 // Name returns the clock's name.
 func (c *Clock) Name() string { return c.name }
 
@@ -145,18 +123,10 @@ func (c *Clock) Now() Cycle { return c.cycle }
 // tick. Exact: edge k happens at floor(k * 1e6 / mhz) ps.
 func (c *Clock) nextEdgePs() int64 { return c.cycle * 1_000_000 / c.mhz }
 
-// Register adds a component to this clock domain with no locality group.
-// Components tick in the order they were registered.
-func (c *Clock) Register(t Ticker) { c.RegisterGrouped(t, -1) }
-
-// RegisterGrouped adds a component to this clock domain under a locality
-// group: components sharing a group (and the ports attached under it) are
-// placed on the same shard, keeping tightly coupled producer/consumer pairs
-// in one worker's cache. Group ids are arbitrary; a negative group means
-// ungrouped (a singleton). Grouping never affects results — see placement.go.
-func (c *Clock) RegisterGrouped(t Ticker, group int) {
+// Register adds a component to this clock domain. Components tick in the
+// order they were registered.
+func (c *Clock) Register(t Ticker) {
 	c.comps = append(c.comps, t)
-	c.groups = append(c.groups, group)
 	s, _ := t.(Sleeper)
 	k, _ := t.(IdleSkipper)
 	c.sleepers = append(c.sleepers, s)
@@ -165,62 +135,33 @@ func (c *Clock) RegisterGrouped(t Ticker, group int) {
 		c.numSleepers++
 	}
 	c.idle = false
-	c.plan = nil
 }
 
 // Components returns how many components are registered on this clock.
 func (c *Clock) Components() int { return len(c.comps) }
 
 // OnBarrier registers f to run at the end of every edge this clock
-// processes, after the clock's ports have committed. Barrier tasks run
-// serially on the engine goroutine in registration order regardless of shard
-// count — the hook for cross-component state that cannot be partitioned
-// (e.g. the shared replication tracker applies its staged ops here).
+// processes, after the clock's ports have committed. Barrier tasks run in
+// registration order — the hook for cross-component state updated once per
+// edge (e.g. the shared replication tracker applies its staged ops here).
 func (c *Clock) OnBarrier(f func()) {
 	c.barriers = append(c.barriers, f)
 }
 
-// commitSerial publishes every attached port's staged pushes on the engine
-// goroutine. The commit must run on every processed edge — even one where no
-// component ticked — because consumers on other clocks may have drained a
+// commit publishes every attached port's staged pushes and then runs the
+// barrier tasks. The commit must run on every processed edge — even one where
+// no component ticked — because consumers on other clocks may have drained a
 // port since the last barrier and the producer-side occupancy snapshot has
-// to be refreshed on the same schedule regardless of fast path or shard
-// count. On dispatched edges the shards commit their own ports inside the
-// same dispatch instead (fused with the eval phase). Edges skipped wholesale
-// by the quiescence fast-forward need no commit: nothing ticks anywhere
-// during an all-idle stretch, so no port can change.
-func (c *Clock) commitSerial() {
+// to be refreshed on the same schedule whether the fast path is on or off.
+// Edges skipped wholesale by the quiescence fast-forward need no commit:
+// nothing ticks anywhere during an all-idle stretch, so no port can change.
+func (c *Clock) commit() {
 	for _, p := range c.ports {
 		p.commitEdge()
 	}
-}
-
-// runBarriers runs the clock's barrier tasks, serially and in registration
-// order, after the edge's port commits. ex (possibly nil) is the engine's
-// executor, idle at this point, lent to barrier tasks through RunSharded.
-func (c *Clock) runBarriers(ex *executor) {
-	if len(c.barriers) == 0 {
-		return
-	}
-	c.curEx = ex
 	for _, f := range c.barriers {
 		f()
 	}
-	c.curEx = nil
-}
-
-// RunSharded runs f(shard, shards) once per shard, in parallel when called
-// from a barrier task while the engine runs sharded, serially as f(0, 1)
-// otherwise. The shard invocations must touch disjoint state; aggregation
-// across shards is the caller's (commutative) fold. This is the hook for
-// parallel stats folding: the worker pool is idle during barrier tasks, so
-// a fold borrows it for the duration of the call.
-func (c *Clock) RunSharded(f func(shard, shards int)) {
-	if ex := c.curEx; ex != nil {
-		ex.fold(f)
-		return
-	}
-	f(0, 1)
 }
 
 // tick advances the clock one edge and returns how many components actually
@@ -229,83 +170,45 @@ func (c *Clock) RunSharded(f func(shard, shards int)) {
 //
 // With the fast path on, each component's NextWorkCycle gates its tick. Port
 // visibility makes the gate order-free: a push from another component this
-// edge is staged, so it cannot wake a sleeper until the next edge whether the
-// clock runs serially or sharded.
-//
-// A non-nil ex shards the whole edge — eval phase, phase barrier, port
-// commits — in one dispatch across the worker pool; small clocks and edges
-// predicted too light to amortize a dispatch stay serial, which cannot
-// change results — only the partition of identical work.
-func (c *Clock) tick(fast, strided bool, ex *executor) int {
+// edge is staged, so it cannot wake a sleeper until the next edge whatever
+// order the components tick in.
+func (c *Clock) tick(fast bool) int {
 	now := c.cycle
-	// ex stays available to barrier tasks (RunSharded) even when the edge
-	// itself runs serially; dispatchEx is what the edge uses.
-	dispatchEx := ex
-	if ex != nil && len(c.comps) < 2*ex.n {
-		dispatchEx = nil
-	}
-	full := !fast || c.numSleepers < len(c.comps) || c.skipEval > 0
-	if dispatchEx != nil && !full && c.lastTicked >= 0 && c.lastTicked < dispatchEx.n*shardWorkMin {
-		// The previous eval edge ticked so few components that a dispatch
-		// costs more than it spreads; run this edge serially and let the
-		// tick count re-arm dispatching when the clock heats back up.
-		dispatchEx = nil
-	}
-	var plan *shardPlan
-	if dispatchEx != nil {
-		plan = c.planFor(dispatchEx.n, strided)
-	}
-	if full {
+	if !fast || c.numSleepers < len(c.comps) || c.skipEval > 0 {
 		if fast && c.skipEval > 0 {
 			c.skipEval--
 		}
-		if dispatchEx != nil {
-			dispatchEx.tickAll(c, plan, now)
-		} else {
-			for _, t := range c.comps {
-				t.Tick(now)
-			}
+		for _, t := range c.comps {
+			t.Tick(now)
 		}
 		c.cycle++
 		c.idle = false
-		c.lastTicked = len(c.comps)
-		if dispatchEx == nil {
-			c.commitSerial()
-		}
-		c.runBarriers(ex)
+		c.commit()
 		return len(c.comps)
 	}
 	var ticked int
 	minWake := WakeNever
-	if dispatchEx != nil {
-		ticked, minWake = dispatchEx.tickEval(c, plan, now)
-	} else {
-		for i, t := range c.comps {
-			w := c.sleepers[i].NextWorkCycle(now)
-			if w <= now {
-				t.Tick(now)
-				ticked++
-				continue
-			}
-			if k := c.skippers[i]; k != nil {
-				k.SkipIdle(now, 1)
-			}
-			if w < minWake {
-				minWake = w
-			}
+	for i, t := range c.comps {
+		w := c.sleepers[i].NextWorkCycle(now)
+		if w <= now {
+			t.Tick(now)
+			ticked++
+			continue
+		}
+		if k := c.skippers[i]; k != nil {
+			k.SkipIdle(now, 1)
+		}
+		if w < minWake {
+			minWake = w
 		}
 	}
 	c.cycle++
 	c.idle = ticked == 0
 	c.idleUntil = minWake
-	c.lastTicked = ticked
 	if ticked == len(c.comps) && ticked > 0 {
 		c.skipEval = busyBackoff - 1
 	}
-	if dispatchEx == nil {
-		c.commitSerial()
-	}
-	c.runBarriers(ex)
+	c.commit()
 	return ticked
 }
 
@@ -327,12 +230,6 @@ func (c *Clock) skipEdges(n Cycle) {
 type Engine struct {
 	clocks []*Clock
 	fast   bool
-	shards int
-	// strided forces the legacy i mod n shard placement instead of the
-	// locality-group partition; a test oracle (placement cannot affect
-	// results, so the two must produce bit-identical runs).
-	strided bool
-	ex      *executor
 
 	// ctx, when non-nil, lets RunUntil abandon a long stretch early: the loop
 	// polls it every ctxPollEdges edges and simply stops advancing once it is
@@ -348,66 +245,8 @@ type Engine struct {
 // while bounding the response to well under a millisecond of work.
 const ctxPollEdges = 4096
 
-// NewEngine returns an empty engine with the quiescence fast path enabled
-// and serial (single-shard) execution.
-func NewEngine() *Engine { return &Engine{fast: true, shards: 1} }
-
-// SetShards sets how many shards each clock edge's component ticks are
-// spread across. n <= 1 selects serial execution. Results are bit-identical
-// at every shard count: the two-phase port contract makes intra-edge tick
-// order irrelevant, sharding only changes which goroutine does the work.
-// Worker goroutines exist only while RunUntil is executing.
-func (e *Engine) SetShards(n int) {
-	if n < 1 {
-		n = 1
-	}
-	if e.ex != nil && n != e.shards {
-		e.stopExecutor()
-	}
-	e.shards = n
-}
-
-// Shards returns the configured shard count.
-func (e *Engine) Shards() int { return e.shards }
-
-// SetStridedPlacement forces the legacy i mod n component→shard placement
-// instead of the locality-group partition. Placement only chooses where a
-// tick runs, never what it computes, so results are bit-identical either
-// way; this exists so tests can prove exactly that.
-func (e *Engine) SetStridedPlacement(on bool) { e.strided = on }
-
-// StridedPlacement reports whether the legacy strided placement is forced.
-func (e *Engine) StridedPlacement() bool { return e.strided }
-
-// MaxClockComponents returns the component count of the most populated
-// clock — the natural upper bound on useful shards ("auto" shard counts
-// clamp to it).
-func (e *Engine) MaxClockComponents() int {
-	m := 0
-	for _, c := range e.clocks {
-		if len(c.comps) > m {
-			m = len(c.comps)
-		}
-	}
-	return m
-}
-
-// startExecutor spins up the worker pool if sharding is configured and none
-// is running; stopExecutor tears it down. RunUntil manages the pair itself
-// for a one-shot run, while RunUntilChecked pins one executor across all its
-// watchdog slices so workers aren't respawned every CheckEvery cycles.
-func (e *Engine) startExecutor() {
-	if e.shards > 1 && e.ex == nil {
-		e.ex = newExecutor(e.shards)
-	}
-}
-
-func (e *Engine) stopExecutor() {
-	if e.ex != nil {
-		e.ex.stop()
-		e.ex = nil
-	}
-}
+// NewEngine returns an empty engine with the quiescence fast path enabled.
+func NewEngine() *Engine { return &Engine{fast: true} }
 
 // SetFastPath toggles the quiescence fast path: skipping components whose
 // NextWorkCycle lies in the future and bulk fast-forwarding when every
@@ -433,7 +272,7 @@ func (e *Engine) NewClock(name string, mhz int64) *Clock {
 	if mhz <= 0 {
 		panic(fmt.Sprintf("sim: clock %q frequency must be positive, got %d", name, mhz))
 	}
-	c := &Clock{name: name, mhz: mhz, lastTicked: -1}
+	c := &Clock{name: name, mhz: mhz}
 	e.clocks = append(e.clocks, c)
 	return c
 }
@@ -451,10 +290,6 @@ func (e *Engine) Clocks() []*Clock {
 func (e *Engine) RunUntil(ref *Clock, cycles Cycle) {
 	if len(e.clocks) == 0 {
 		panic("sim: RunUntil on engine with no clocks")
-	}
-	if e.shards > 1 && e.ex == nil && ref.cycle < cycles {
-		e.startExecutor()
-		defer e.stopExecutor()
 	}
 	poll := 0
 	for ref.cycle < cycles {
@@ -476,7 +311,7 @@ func (e *Engine) RunUntil(ref *Clock, cycles Cycle) {
 				next, nt = c, t
 			}
 		}
-		if next.tick(e.fast, e.strided, e.ex) > 0 {
+		if next.tick(e.fast) > 0 {
 			// A productive tick may have pushed work into any component on
 			// any clock: every cached idle verdict is stale.
 			for _, c := range e.clocks {
@@ -605,13 +440,6 @@ func (e *Engine) clockStates() []health.ClockState {
 // to RunUntil.
 func (e *Engine) RunUntilChecked(ref *Clock, cycles Cycle, opts RunOptions) error {
 	opts = opts.withDefaults()
-	// Pin one executor across all the watchdog slices: respawning the worker
-	// pool every CheckEvery cycles costs goroutine churn for nothing. The
-	// nested RunUntil calls see e.ex non-nil and leave ownership here.
-	if e.shards > 1 && ref.cycle < cycles {
-		e.startExecutor()
-		defer e.stopExecutor()
-	}
 	if opts.Ctx != nil {
 		// Arm mid-slice polling: RunUntil returns early once the context is
 		// canceled, and the slice-top check below reports the error.

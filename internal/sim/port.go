@@ -2,7 +2,7 @@ package sim
 
 // Port is the communication endpoint between components: a bounded FIFO with
 // the same API as Queue plus an optional two-phase ("staged commit") mode
-// used by the engine's deterministic sharded execution.
+// that makes results independent of the order components tick in.
 //
 // An unattached Port behaves exactly like the Queue it embeds — pushes are
 // immediately visible — which keeps standalone component unit tests simple.
@@ -12,8 +12,7 @@ package sim
 // an edge, capacity checks (Full/Space) run against a snapshot of the
 // committed occupancy taken at the previous barrier, so neither the values a
 // producer can push nor the values a consumer can pop depend on the order
-// components tick within the edge. That order-independence is what makes
-// sharded execution bit-identical to serial execution (see DESIGN.md §11).
+// components tick within the edge (see DESIGN.md §11).
 //
 // Ownership contract (audited in internal/gpu wiring):
 //
@@ -46,24 +45,16 @@ type portCommitter interface {
 }
 
 // Attach switches the port to two-phase mode and registers its commit at c's
-// edge barrier, with no locality group. c must be the clock of the port's
-// producer: staged values become visible to the consumer after the
-// producer's edge completes. Attaching twice is a wiring bug.
-func (p *Port[T]) Attach(c *Clock) { p.AttachGrouped(c, -1) }
-
-// AttachGrouped is Attach under a locality group (see Clock.RegisterGrouped):
-// the shard that owns the group — normally the producer's — also commits the
-// port, so the staged slice never migrates between workers. A negative group
-// means ungrouped; grouping never affects results.
-func (p *Port[T]) AttachGrouped(c *Clock, group int) {
+// edge barrier. c must be the clock of the port's producer: staged values
+// become visible to the consumer after the producer's edge completes.
+// Attaching twice is a wiring bug.
+func (p *Port[T]) Attach(c *Clock) {
 	if p.twoPhase {
 		panic("sim: Port attached twice")
 	}
 	p.twoPhase = true
 	p.snap = p.size
 	c.ports = append(c.ports, p)
-	c.portGroups = append(c.portGroups, group)
-	c.plan = nil
 }
 
 // Attached reports whether the port is in two-phase mode.
@@ -114,8 +105,8 @@ func (p *Port[T]) Space() int {
 }
 
 // commitEdge publishes staged values into the committed queue and refreshes
-// the occupancy snapshot. Runs at the owning clock's edge barrier, never
-// concurrently with any producer or consumer access to this port.
+// the occupancy snapshot. Runs at the owning clock's edge barrier, after
+// every producer and consumer tick of the edge.
 func (p *Port[T]) commitEdge() {
 	if len(p.staged) > 0 {
 		var zero T

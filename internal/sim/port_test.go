@@ -87,101 +87,127 @@ func TestPortDoubleAttachPanics(t *testing.T) {
 	p.Attach(c)
 }
 
-// TestShardedEngineMatchesSerial runs a ring of components — each pops from
-// its inbound port and pushes a transformed value to its outbound port — at
-// several shard counts and demands identical final state. The ring makes
-// every component both producer and consumer, so any commit-ordering or
-// visibility bug shows up as a diverging sum.
-func TestShardedEngineMatchesSerial(t *testing.T) {
-	const nodes = 12
-	run := func(shards int) []int {
-		e := NewEngine()
-		e.SetShards(shards)
-		c := e.NewClock("c", 1000)
-		ports := make([]*Port[int], nodes)
-		for i := range ports {
-			ports[i] = NewPort[int](4)
-			ports[i].Attach(c)
+// registerAll registers ticks on c in slice order, or in reverse order.
+func registerAll(c *Clock, ticks []TickFunc, reverse bool) {
+	for k := range ticks {
+		if reverse {
+			k = len(ticks) - 1 - k
 		}
-		state := make([]int, nodes)
-		for i := 0; i < nodes; i++ {
-			i := i
-			in, out := ports[i], ports[(i+1)%nodes]
-			c.Register(TickFunc(func(cy Cycle) {
-				if v, ok := in.Pop(); ok {
-					state[i] += v
-					out.Push(v + i)
-				}
-				if cy%Cycle(i+1) == 0 {
-					out.Push(i)
-				}
-			}))
-		}
-		e.RunUntil(c, 500)
-		return state
-	}
-	want := run(1)
-	for _, shards := range []int{2, 3, 4, 8} {
-		got := run(shards)
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("shards=%d: state[%d] = %d, want %d (serial)\ngot:  %v\nwant: %v",
-					shards, i, got[i], want[i], got, want)
-			}
-		}
+		c.Register(ticks[k])
 	}
 }
 
-// TestShardedMultiClockMatchesSerial crosses two clock domains through
-// two-phase ports, checking that the per-edge commit schedule (every
-// processed edge, including unproductive ones) is shard-independent.
-func TestShardedMultiClockMatchesSerial(t *testing.T) {
-	run := func(shards int) string {
-		e := NewEngine()
-		e.SetShards(shards)
-		fastClk := e.NewClock("fast", 1400)
-		slowClk := e.NewClock("slow", 924)
-		fwd := NewPort[int](3)
-		fwd.Attach(fastClk)
-		back := NewPort[int](3)
-		back.Attach(slowClk)
-		var log string
-		seq := 0
-		for i := 0; i < 8; i++ {
-			i := i
-			fastClk.Register(TickFunc(func(cy Cycle) {
-				if i == 0 {
-					seq++
-					fwd.Push(seq)
-				}
-				if i == 7 {
-					if v, ok := back.Pop(); ok {
-						log += fmt.Sprintf("b%d,", v)
-					}
-				}
-			}))
-		}
-		for i := 0; i < 8; i++ {
-			i := i
-			slowClk.Register(TickFunc(func(Cycle) {
-				if i == 3 {
-					if v, ok := fwd.Pop(); ok {
-						log += fmt.Sprintf("f%d,", v)
-						back.Push(v * 10)
-					}
-				}
-			}))
-		}
-		e.RunUntil(fastClk, 300)
-		return log
+// ringRun runs a ring of components over attached ports — each pops from its
+// inbound port and pushes a transformed value to its outbound port — with the
+// components registered in forward or reverse order, and returns the final
+// per-component state. Every component is both producer and consumer, so a
+// value that became visible within the edge it was pushed in would be popped
+// one edge early in one registration order and not the other.
+func ringRun(reverse bool) []int {
+	const nodes = 12
+	e := NewEngine()
+	c := e.NewClock("c", 1000)
+	ports := make([]*Port[int], nodes)
+	for i := range ports {
+		ports[i] = NewPort[int](4)
+		ports[i].Attach(c)
 	}
-	want := run(1)
-	if want == "" {
-		t.Fatal("serial run produced no traffic")
-	}
-	for _, shards := range []int{2, 4, 8} {
-		if got := run(shards); got != want {
-			t.Errorf("shards=%d event log diverged from serial", shards)
+	state := make([]int, nodes)
+	ticks := make([]TickFunc, nodes)
+	for i := range ticks {
+		in, out := ports[i], ports[(i+1)%nodes]
+		ticks[i] = func(cy Cycle) {
+			if v, ok := in.Pop(); ok {
+				state[i] += v
+				out.Push(v + i)
+			}
+			if cy%Cycle(i+1) == 0 {
+				out.Push(i)
+			}
 		}
+	}
+	registerAll(c, ticks, reverse)
+	e.RunUntil(c, 500)
+	return state
+}
+
+// twoClockRun crosses two clock domains through attached ports, with each
+// clock's components registered in forward or reverse order, and returns the
+// event log of values arriving on either side, stamped with the cycle they
+// arrived in. Each side also relays through a port local to its own clock,
+// producer and consumer on the same clock, so a push visible within its own
+// edge would shift arrival cycles in one registration order only.
+func twoClockRun(reverse bool) string {
+	e := NewEngine()
+	fastClk := e.NewClock("fast", 1400)
+	slowClk := e.NewClock("slow", 924)
+	fastLocal := NewPort[int](3)
+	fastLocal.Attach(fastClk)
+	fwd := NewPort[int](3)
+	fwd.Attach(fastClk)
+	slowLocal := NewPort[int](3)
+	slowLocal.Attach(slowClk)
+	back := NewPort[int](3)
+	back.Attach(slowClk)
+	var log string
+	seq := 0
+	fastTicks := make([]TickFunc, 8)
+	slowTicks := make([]TickFunc, 8)
+	for i := range fastTicks {
+		fastTicks[i] = func(Cycle) {}
+		slowTicks[i] = func(Cycle) {}
+	}
+	fastTicks[0] = func(Cycle) {
+		seq++
+		fastLocal.Push(seq)
+	}
+	fastTicks[5] = func(Cycle) {
+		if v, ok := fastLocal.Pop(); ok {
+			fwd.Push(v)
+		}
+	}
+	fastTicks[7] = func(cy Cycle) {
+		if v, ok := back.Pop(); ok {
+			log += fmt.Sprintf("b%d@%d,", v, cy)
+		}
+	}
+	slowTicks[3] = func(cy Cycle) {
+		if v, ok := fwd.Pop(); ok {
+			log += fmt.Sprintf("f%d@%d,", v, cy)
+			slowLocal.Push(v * 10)
+		}
+	}
+	slowTicks[6] = func(Cycle) {
+		if v, ok := slowLocal.Pop(); ok {
+			back.Push(v)
+		}
+	}
+	registerAll(fastClk, fastTicks, reverse)
+	registerAll(slowClk, slowTicks, reverse)
+	e.RunUntil(fastClk, 300)
+	return log
+}
+
+// TestPortRegistrationOrderIndependence is the oracle for the two-phase port
+// contract on one clock: the same producers and consumers, registered in
+// forward and then in reverse order, must give identical results. It fails if
+// Port.Push bypasses staging, because a push would then be visible to a
+// consumer ticking later in the same edge — and which side of the producer a
+// consumer ticks on is exactly what reversing the order flips.
+func TestPortRegistrationOrderIndependence(t *testing.T) {
+	if fwd, rev := ringRun(false), ringRun(true); fmt.Sprint(fwd) != fmt.Sprint(rev) {
+		t.Errorf("reverse registration diverged\nforward: %v\nreverse: %v", fwd, rev)
+	}
+}
+
+// TestPortRegistrationOrderIndependenceMultiClock is the same oracle across
+// two clock domains. It too fails if Port.Push bypasses staging.
+func TestPortRegistrationOrderIndependenceMultiClock(t *testing.T) {
+	fwd, rev := twoClockRun(false), twoClockRun(true)
+	if fwd == "" {
+		t.Fatal("no traffic crossed the ports")
+	}
+	if fwd != rev {
+		t.Errorf("reverse registration diverged\nforward: %s\nreverse: %s", fwd, rev)
 	}
 }
